@@ -49,6 +49,10 @@ void DumpTrace(const BenchArgs& args, double measured_epoch_secs) {
                 "phase sum", "", phase_sum_ns * 1e-9,
                 100.0 * phase_sum_ns * 1e-9 / measured_epoch_secs);
   }
+  // Patch matrices written out (Im2ColInto and the small-problem GEMM
+  // fallbacks); the stride-1 conv kernels gather from the image instead.
+  std::printf("  conv.im2col_bytes  %.3f MB\n",
+              obs::GetCounter("conv.im2col_bytes")->value() * 1e-6);
   if (obs::WriteJsonFile(args.trace_json)) {
     std::printf("wrote %s\n", args.trace_json.c_str());
   } else {

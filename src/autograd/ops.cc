@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "core/check.h"
+#include "tensor/gemm.h"
 #include "tensor/ops.h"
 
 namespace geotorch::autograd {
@@ -401,14 +402,15 @@ LstmState LstmGates(const Variable& gates, const Variable& c_prev) {
     ts::RunRanges(n * block, [&](int64_t begin, int64_t end) {
       ForEachLstmSpan(begin, end, block, [&](int64_t e0, int64_t g0,
                                              int64_t len) {
-        // One loop per libm function: independent calls overlap, while
-        // one cell's i/f/g → c → tanh(c) chain in a single loop would
-        // serialize them.
+        // The span kernels ts::Sigmoid / ts::Tanh run, so each
+        // activation is bitwise the composed op's.
         for (int64_t q = 0; q < 4; ++q) {
           const float* src = pg + g0 + q * block;
           float* dst = pa + g0 + q * block;
-          for (int64_t k = 0; k < len; ++k) {
-            dst[k] = q == 2 ? std::tanh(src[k]) : ts::SigmoidScalar(src[k]);
+          if (q == 2) {
+            ts::TanhSpan(src, dst, len);
+          } else {
+            ts::SigmoidSpan(src, dst, len);
           }
         }
         const float* ai = pa + g0;
@@ -417,7 +419,7 @@ LstmState LstmGates(const Variable& gates, const Variable& c_prev) {
           const float ig = ai[k] * ai[k + 2 * block];
           pc[e0 + k] = fc + ig;
         }
-        for (int64_t k = 0; k < len; ++k) pt[e0 + k] = std::tanh(pc[e0 + k]);
+        ts::TanhSpan(pc + e0, pt + e0, len);
         for (int64_t k = 0; k < len; ++k) {
           ph[e0 + k] = ai[k + 3 * block] * pt[e0 + k];
         }

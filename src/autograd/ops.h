@@ -65,9 +65,9 @@ struct LstmState {
 /// One fused LSTM / ConvLSTM gate step. gates: (N, 4·H, ...) holding the
 /// i, f, g, o pre-activations in that order along dim 1; c_prev:
 /// (N, H, ...). Computes c = σ(f)·c_prev + σ(i)·tanh(g) and
-/// h = σ(o)·tanh(c) in one pass, with the scalar formulas of the
-/// composed Sigmoid/Tanh/Mul/Add ops, so values and gradients are
-/// bitwise those of the composed graph. The backward reads the saved
+/// h = σ(o)·tanh(c) in one pass, with the span kernels and scalar
+/// formulas of the composed Sigmoid/Tanh/Mul/Add ops, so values and
+/// gradients are bitwise those of the composed graph. The backward reads the saved
 /// activations instead of re-evaluating them.
 LstmState LstmGates(const Variable& gates, const Variable& c_prev);
 

@@ -40,7 +40,10 @@ void Im2ColInto(const Tensor& x, int64_t n, int64_t kh, int64_t kw,
   const int64_t w = x.size(3);
   const int64_t oh = ConvOutSize(h, kh, spec.stride, spec.padding);
   const int64_t ow = ConvOutSize(w, kw, spec.stride, spec.padding);
-  std::memset(cols, 0, sizeof(float) * c * kh * kw * oh * ow);
+  const int64_t bytes =
+      static_cast<int64_t>(sizeof(float)) * c * kh * kw * oh * ow;
+  GEO_OBS_COUNT("conv.im2col_bytes", bytes);
+  std::memset(cols, 0, static_cast<size_t>(bytes));
   const float* px = x.data() + n * c * h * w;
   for (int64_t ci = 0; ci < c; ++ci) {
     for (int64_t ki = 0; ki < kh; ++ki) {
@@ -472,28 +475,28 @@ Conv2dGrads Conv2dBackward(const Tensor& grad_out, const Tensor& x,
   flip_spec.padding = kh - 1 - spec.padding;
 
   // Partial t accumulates samples [t*n/parts, (t+1)*n/parts): its
-  // (f, ck) weight gradient followed by its f bias sums.
+  // (ck, f) transposed weight gradient followed by its f bias sums.
   const int64_t parts = std::min(n, kGradPartials);
-  const int64_t part_len = f * ck + (has_bias ? f : 0);
+  const int64_t part_len = ck * f + (has_bias ? f : 0);
   Tensor partials = Tensor::Uninitialized({parts, part_len});
 
   const float* pg = grad_out.data();
   const float* pw = w.data();
+  const float* px = x.data();
   ForEachSample(parts, [&](int64_t t) {
-    float* gw = partials.data() + t * part_len;
-    float* gb = gw + f * ck;
+    float* gwt = partials.data() + t * part_len;
+    float* gb = gwt + ck * f;
     if (has_bias) std::fill(gb, gb + f, 0.0f);
     const int64_t begin = t * n / parts;
     const int64_t end = (t + 1) * n / parts;
     for (int64_t i = begin; i < end; ++i) {
       const float* g_i = pg + i * f * l;
-      // grad wrt weights: gw (+)= g_i (f, l) x cols^T (l, ck). The
-      // kernel consumes cols (ck, l) as a transposed operand directly;
-      // the partial's first sample overwrites it.
-      float* cols = ThreadLocalWorkspace(kWorkspaceIm2Col, ck * l);
-      Im2ColInto(x, i, kh, kw, spec, cols);
-      Gemm(g_i, cols, gw, f, l, ck,
-           {.beta = i == begin ? 0.0f : 1.0f, .trans_b = true});
+      // grad wrt weights, transposed: gwᵀ (+)= im2col(x_i) (ck, l) ×
+      // g_iᵀ (l, f), the patch rows gathered straight from the image.
+      // The partial's first sample overwrites it.
+      const ConvImageView<float> x_view =
+          MakeConvView(px + i * c * h * wd, c, h, wd, kh, kw, spec, oh, ow);
+      GemmConvA(x_view, g_i, gwt, f, {.beta = i == begin ? 0.0f : 1.0f});
       if (has_bias) {
         for (int64_t fi = 0; fi < f; ++fi) {
           const float* row = g_i + fi * l;
@@ -518,7 +521,7 @@ Conv2dGrads Conv2dBackward(const Tensor& grad_out, const Tensor& x,
     }
   });
 
-  // Sum the partials in index order.
+  // Sum the partials in index order, transposing gwᵀ back.
   grads.grad_w = Tensor::Zeros(w.shape());
   grads.grad_bias = has_bias ? Tensor::Zeros({f}) : Tensor();
   const float* pp = partials.data();
@@ -526,9 +529,11 @@ Conv2dGrads Conv2dBackward(const Tensor& grad_out, const Tensor& x,
   float* gb = has_bias ? grads.grad_bias.data() : nullptr;
   for (int64_t t = 0; t < parts; ++t) {
     const float* part = pp + t * part_len;
-    for (int64_t e = 0; e < f * ck; ++e) gw[e] += part[e];
+    for (int64_t p = 0; p < ck; ++p) {
+      for (int64_t fi = 0; fi < f; ++fi) gw[fi * ck + p] += part[p * f + fi];
+    }
     for (int64_t fi = 0; gb != nullptr && fi < f; ++fi) {
-      gb[fi] += part[f * ck + fi];
+      gb[fi] += part[ck * f + fi];
     }
   }
   return grads;

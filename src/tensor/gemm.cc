@@ -39,14 +39,16 @@ using namespace gemm_internal;
 inline int64_t CeilDiv(int64_t a, int64_t b) { return (a + b - 1) / b; }
 
 // Logical-element access over the (possibly transposed) operands. When
-// `conv_b` is set, B is an implicit im2col view and the packing stage
-// gathers panel rows straight from the image (never transposed).
+// `conv_b` (`conv_a`) is set, B (A) is an implicit im2col view and the
+// packing stage gathers panel rows straight from the image (never
+// transposed).
 struct OperandView {
   const float* a;
   const float* b;
   int64_t m, k, n;
   bool ta, tb;
   const ConvImageView<float>* conv_b = nullptr;
+  const ConvImageView<float>* conv_a = nullptr;
   float A(int64_t i, int64_t p) const { return ta ? a[p * m + i] : a[i * k + p]; }
   float B(int64_t p, int64_t j) const { return tb ? b[j * k + p] : b[p * n + j]; }
 };
@@ -61,6 +63,20 @@ void PackABlock(const OperandView& v, int64_t ic, int64_t mc, int64_t pc,
     float* panel = ap + pi * kc * kMR;
     const int64_t rows = std::min(kMR, mc - pi * kMR);
     const int64_t base_i = ic + pi * kMR;
+    if (v.conv_a != nullptr) {
+      // Gather the panel's rows into an L1 stage (the mirror of the
+      // conv_b stage in PackBBlock), then interleave them.
+      alignas(64) float stage[kMR][kKC];
+      for (int64_t r = 0; r < rows; ++r)
+        v.conv_a->GatherRow(base_i + r, pc, kc, stage[r]);
+      for (int64_t p = 0; p < kc; ++p) {
+        float* dst = panel + p * kMR;
+        int64_t r = 0;
+        for (; r < rows; ++r) dst[r] = stage[r][p];
+        for (; r < kMR; ++r) dst[r] = 0.0f;
+      }
+      continue;
+    }
     for (int64_t p = 0; p < kc; ++p) {
       float* dst = panel + p * kMR;
       int64_t r = 0;
@@ -133,6 +149,88 @@ inline VecLane LoadLane(const float* p) {
   VecLane v;
   __builtin_memcpy(&v, p, sizeof(v));
   return v;
+}
+
+// --- Sigmoid and tanh -------------------------------------------------
+//
+// SigmoidSpan / TanhSpan (gemm.h) are defined here because this is the
+// translation unit compiled with the kernel ISA flags both in the
+// library build (src/tensor/CMakeLists.txt) and in perfbench's build
+// (perfbench/CMakeLists.txt), so every caller — ops, LstmGates and the
+// epilogues of all four GEMM kernels — runs this one compiled instance.
+// All arithmetic is lane-wise on VecLane, so no element sees another.
+
+typedef int32_t VecInt __attribute__((vector_size(sizeof(VecLane))));
+typedef uint32_t VecUint __attribute__((vector_size(sizeof(VecLane))));
+
+inline VecLane Splat(float s) { return s - VecLane{}; }
+
+// e^x: Cody–Waite reduction x = n·ln2 + r with |r| <= ln2/2, the Cephes
+// expf polynomial for e^r, and 2^n applied as two halves so that one
+// rounding covers results from the subnormal range up to overflow. The
+// clamps make e^x exactly 0 below -104 and +inf above 88.73; NaN passes
+// through them (comparisons are false) and poisons the polynomial.
+inline VecLane ExpLane(VecLane x) {
+  x = x > Splat(89.0f) ? Splat(89.0f) : x;
+  x = x < Splat(-104.0f) ? Splat(-104.0f) : x;
+  const VecLane magic = Splat(12582912.0f);  // 1.5·2^23: rounds to integer
+  const VecLane t = x * 1.44269504088896341f + magic;
+  const VecLane n = t - magic;
+  VecLane r = x - n * 0.693359375f;  // ln2 high part, exact in n·C1
+  r = r - n * -2.12194440e-4f;       // ln2 - C1
+  VecLane p = Splat(1.9875691500e-4f);
+  p = p * r + 1.3981999507e-3f;
+  p = p * r + 8.3334519073e-3f;
+  p = p * r + 4.1665795894e-2f;
+  p = p * r + 1.6666665459e-1f;
+  p = p * r + 5.0000001201e-1f;
+  p = p * (r * r) + r + 1.0f;
+  // n ∈ [-150, 128] sits in t's low mantissa bits; 2^n = 2^n1 · 2^n2
+  // with both halves normal. Unsigned arithmetic wraps on NaN bits.
+  const VecInt ni = (VecInt)((VecUint)t - (VecUint)magic);
+  const VecInt n1 = ni >> 1;
+  const VecUint n2 = (VecUint)ni - (VecUint)n1;
+  const VecLane s1 = (VecLane)(((VecUint)n1 + 127u) << 23);
+  const VecLane s2 = (VecLane)((n2 + 127u) << 23);
+  return p * s1 * s2;
+}
+
+inline VecLane SigmoidLane(VecLane x) { return 1.0f / (1.0f + ExpLane(-x)); }
+
+// tanh(|x|): the Cephes tanhf odd polynomial below 0.625, else
+// 1 - 2/(e^{2|x|} + 1) (exactly 1 once e^{2|x|} overflows); the sign of
+// x, -0 included, is put back last.
+inline VecLane TanhLane(VecLane x) {
+  const VecUint sign = (VecUint)x & 0x80000000u;
+  const VecLane a = (VecLane)((VecUint)x & 0x7fffffffu);
+  const VecLane z = a * a;
+  VecLane p = Splat(-5.70498872745e-3f);
+  p = p * z + 2.06390887954e-2f;
+  p = p * z - 5.37397155531e-2f;
+  p = p * z + 1.33314422036e-1f;
+  p = p * z - 3.33332819422e-1f;
+  const VecLane small = p * z * a + a;
+  const VecLane large = 1.0f - 2.0f / (ExpLane(a + a) + 1.0f);
+  const VecLane t = a < Splat(0.625f) ? small : large;
+  return (VecLane)((VecUint)t | sign);
+}
+
+// Applies `lane_fn` to [0, n) a whole lane at a time. The tail is padded
+// into one lane and goes through the same loop body, so an element's
+// result never depends on where it sits in the span.
+template <typename LaneFn>
+void ActivationSpan(const float* x, float* y, int64_t n, LaneFn lane_fn) {
+  for (int64_t i = 0; i < n; i += kLane) {
+    const int64_t len = std::min(kLane, n - i);
+    alignas(64) float pad[kLane] = {};
+    const float* src = x + i;
+    if (len < kLane) {
+      __builtin_memcpy(pad, src, static_cast<size_t>(len) * sizeof(float));
+      src = pad;
+    }
+    const VecLane out = lane_fn(LoadLane(src));
+    __builtin_memcpy(y + i, &out, static_cast<size_t>(len) * sizeof(float));
+  }
 }
 
 // kMR×kNR register tile over a packed-panel pair, merged into C at the
@@ -382,6 +480,18 @@ void ConvDirectKernel(const float* a, const ConvImageView<float>& b, float* c,
   }
 }
 
+// Writes the view's patch matrix into the im2col workspace, for the
+// small-problem reference fallbacks.
+float* MaterializeIm2Col(const ConvImageView<float>& v) {
+  const int64_t k = v.K();
+  const int64_t n = v.N();
+  float* cols = ThreadLocalWorkspace(kWorkspaceIm2Col, k * n);
+  for (int64_t p = 0; p < k; ++p) v.GatherRow(p, 0, n, cols + p * n);
+  GEO_OBS_COUNT("conv.im2col_bytes",
+                k * n * static_cast<int64_t>(sizeof(float)));
+  return cols;
+}
+
 // C := beta*C for the degenerate k == 0 case.
 void ScaleC(float* c, int64_t count, float beta) {
   if (beta == 0.0f) {
@@ -454,9 +564,7 @@ void GemmConv(const float* a, const ConvImageView<float>& b, float* c,
     // patch matrix and run the reference loop (which applies the
     // epilogue as separate post-passes, like the unfused layer code).
     GEO_OBS_COUNT("gemm.path.ref", 1);
-    float* cols = ThreadLocalWorkspace(kWorkspaceIm2Col, k * n);
-    for (int64_t p = 0; p < k; ++p) b.GatherRow(p, 0, n, cols + p * n);
-    ReferenceGemm(a, cols, c, m, k, n, opts);
+    ReferenceGemm(a, MaterializeIm2Col(b), c, m, k, n, opts);
     return;
   }
   if (b.stride == 1) {
@@ -466,6 +574,34 @@ void GemmConv(const float* a, const ConvImageView<float>& b, float* c,
   }
   const OperandView v{a, nullptr, m, k, n, opts.trans_a, false, &b};
   GemmBlocked(v, c, opts, work);
+}
+
+void GemmConvA(const ConvImageView<float>& a, const float* b, float* c,
+               int64_t n, const GemmOptions& opts) {
+  const int64_t m = a.K();
+  const int64_t k = a.N();
+  if (m <= 0 || n <= 0) return;
+  GEO_OBS_COUNT("gemm.calls", 1);
+  const int64_t work = m * n * k;
+  GEO_OBS_COUNT("gemm.flops", 2 * work);
+  GemmOptions o = opts;
+  o.trans_a = false;
+  o.trans_b = true;
+  if (work < kBlockedMinWork) {
+    GEO_OBS_COUNT("gemm.path.ref", 1);
+    ReferenceGemm(MaterializeIm2Col(a), b, c, m, k, n, o);
+    return;
+  }
+  const OperandView v{nullptr, b, m, k, n, false, true, nullptr, &a};
+  GemmBlocked(v, c, o, work);
+}
+
+void SigmoidSpan(const float* x, float* y, int64_t n) {
+  ActivationSpan(x, y, n, SigmoidLane);
+}
+
+void TanhSpan(const float* x, float* y, int64_t n) {
+  ActivationSpan(x, y, n, TanhLane);
 }
 
 }  // namespace geotorch::tensor

@@ -2,19 +2,30 @@
 #define GEOTORCH_TENSOR_GEMM_H_
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 
 namespace geotorch::tensor {
 
-/// Activation applied by a fused GEMM epilogue. Formulas are the exact
-/// scalar expressions the unfused elementwise ops use (tensor/ops.cc),
-/// so fusing them changes no per-element result.
+/// Vectorized activation kernels: y[i] = sigmoid(x[i]) = 1 / (1 + e^-x[i])
+/// and y[i] = tanh(x[i]) for i in [0, n); y may alias x. They are the
+/// library's only sigmoid and tanh: ts::Sigmoid / ts::Tanh, the fused
+/// LstmGates forward and the kSigmoid GEMM epilogue all call them. An
+/// element's result depends only on its value — never on its offset,
+/// the span length or how a caller splits a range — so fused ==
+/// composed and serial == parallel hold bitwise. Results are within
+/// 2 ulp (sigmoid) and 1 ulp (tanh) of the correctly rounded value for
+/// |x| <= 88; NaN stays NaN and tanh keeps the sign of ±0.
+void SigmoidSpan(const float* x, float* y, int64_t n);
+void TanhSpan(const float* x, float* y, int64_t n);
+
+/// Activation applied by a fused GEMM epilogue. Formulas are the ones
+/// the unfused elementwise ops use (tensor/ops.cc; the sigmoid is
+/// SigmoidSpan itself), so fusing them changes no per-element result.
 enum class EpilogueAct : uint8_t {
   kNone = 0,
   kRelu,       // x > 0 ? x : 0
   kLeakyRelu,  // x > 0 ? x : slope * x
-  kSigmoid,    // 1 / (1 + exp(-x))
+  kSigmoid,    // SigmoidSpan
 };
 
 /// Fused GEMM epilogue: bias add and activation applied inside the
@@ -155,13 +166,14 @@ void PackInt8B(const int8_t* b, int64_t k, int64_t n, int8_t* packed);
 void GemmInt8(const int8_t* a, Int8PackedB b, float* c, int64_t m, int64_t k,
               int64_t n, const Int8GemmOptions& opts);
 
-/// Implicit im2col view of one (C, H, W) image plane: the B operand of
-/// a convolution GEMM without materializing the (C·KH·KW, OH·OW) patch
-/// matrix. The packing stage gathers panel rows straight from the image
-/// — row p of the virtual matrix is kernel tap (ci, ki, kj) = unflatten
-/// of p, column j is output pixel (oi, oj) = unflatten of j — producing
-/// byte-identical panels to packing a materialized im2col matrix, while
-/// skipping the full extra write+read pass over it.
+/// Implicit im2col view of one (C, H, W) image plane: an operand of a
+/// convolution GEMM without materializing the (C·KH·KW, OH·OW) patch
+/// matrix — B of the forward (GemmConv), A of the weight gradient
+/// (GemmConvA). The packing stage gathers panel rows straight from the
+/// image — row p of the virtual matrix is kernel tap (ci, ki, kj) =
+/// unflatten of p, column j is output pixel (oi, oj) = unflatten of j —
+/// producing byte-identical panels to packing a materialized im2col
+/// matrix, while skipping the full extra write+read pass over it.
 template <typename T>
 struct ConvImageView {
   const T* x = nullptr;  // one sample, (c, h, w) row-major
@@ -234,6 +246,17 @@ void GemmConvBf16(const uint16_t* a_bf16, const ConvImageView<float>& b,
                   float* c, int64_t m, const GemmOptions& opts = {});
 void GemmConvInt8(const int8_t* a, const ConvImageView<int8_t>& b, float* c,
                   int64_t m, const Int8GemmOptions& opts);
+
+/// Convolution weight-gradient GEMM over an implicit im2col A operand:
+/// C (a.K() × n) = im2col(a) (a.K() × a.N()) · Bᵀ, where b is the
+/// (n, a.N()) row-major output gradient of the sample (opts.trans_*
+/// are ignored). C is gwᵀ; every element accumulates over the output
+/// pixels in the same K order and kKC blocks as the materialized
+/// Gemm(b, cols, trans_b) orientation, so it is bitwise that product
+/// transposed (the small-problem fallback materializes the patch
+/// matrix for the reference loop, as GemmConv does).
+void GemmConvA(const ConvImageView<float>& a, const float* b, float* c,
+               int64_t n, const GemmOptions& opts = {});
 
 namespace gemm_internal {
 
@@ -323,8 +346,7 @@ inline void ApplyEpilogueRow(float* row, int64_t cols, const float* row_bias,
         row[j] = row[j] > 0.0f ? row[j] : ep.leaky_slope * row[j];
       break;
     case EpilogueAct::kSigmoid:
-      for (int64_t j = 0; j < cols; ++j)
-        row[j] = 1.0f / (1.0f + std::exp(-row[j]));
+      SigmoidSpan(row, row, cols);
       break;
   }
 }

@@ -95,6 +95,17 @@ Tensor UnaryOp(const Tensor& a, UnaryFn fn) {
   return out;
 }
 
+// Runs a span kernel (y may alias x) over the tensor's ranges.
+Tensor SpanOp(const Tensor& a, void (*span)(const float*, float*, int64_t)) {
+  Tensor out = Tensor::Uninitialized(a.shape());
+  const float* pa = a.data();
+  float* po = out.data();
+  RunRanges(a.numel(), [&](int64_t begin, int64_t end) {
+    span(pa + begin, po + begin, end - begin);
+  });
+  return out;
+}
+
 int NormalizeDim(int dim, int rank) {
   if (dim < 0) dim += rank;
   GEO_CHECK(dim >= 0 && dim < rank) << "dim " << dim << " for rank " << rank;
@@ -159,12 +170,8 @@ Tensor Relu(const Tensor& a) {
 Tensor LeakyRelu(const Tensor& a, float slope) {
   return UnaryOp(a, [slope](float x) { return x > 0.0f ? x : slope * x; });
 }
-Tensor Sigmoid(const Tensor& a) {
-  return UnaryOp(a, [](float x) { return SigmoidScalar(x); });
-}
-Tensor Tanh(const Tensor& a) {
-  return UnaryOp(a, [](float x) { return std::tanh(x); });
-}
+Tensor Sigmoid(const Tensor& a) { return SpanOp(a, SigmoidSpan); }
+Tensor Tanh(const Tensor& a) { return SpanOp(a, TanhSpan); }
 Tensor Clamp(const Tensor& a, float lo, float hi) {
   return UnaryOp(a, [lo, hi](float x) { return std::clamp(x, lo, hi); });
 }

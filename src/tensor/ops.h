@@ -1,7 +1,6 @@
 #ifndef GEOTORCH_TENSOR_OPS_H_
 #define GEOTORCH_TENSOR_OPS_H_
 
-#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -10,10 +9,10 @@
 
 namespace geotorch::tensor {
 
-// Scalar formulas of the elementwise ops below. Fused kernels elsewhere
+// Scalar formulas of the gradient kernels below. Fused kernels elsewhere
 // (autograd::LstmGates) call these same functions, so a fused result is
-// bitwise the composed one.
-inline float SigmoidScalar(float x) { return 1.0f / (1.0f + std::exp(-x)); }
+// bitwise the composed one; the forward activations share SigmoidSpan /
+// TanhSpan (tensor/gemm.h) the same way.
 inline float SigmoidGradScalar(float g, float y) { return g * y * (1.0f - y); }
 inline float TanhGradScalar(float g, float y) { return g * (1.0f - y * y); }
 
@@ -48,6 +47,7 @@ Tensor Abs(const Tensor& a);
 Tensor Relu(const Tensor& a);
 /// x for x > 0, slope*x otherwise.
 Tensor LeakyRelu(const Tensor& a, float slope = 0.01f);
+/// SigmoidSpan / TanhSpan (tensor/gemm.h) over the tensor.
 Tensor Sigmoid(const Tensor& a);
 Tensor Tanh(const Tensor& a);
 /// Clamps every element into [lo, hi].

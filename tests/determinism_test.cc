@@ -34,6 +34,7 @@
 #include "tensor/conv.h"
 #include "tensor/device.h"
 #include "tensor/fusion.h"
+#include "tensor/ops.h"
 
 namespace {
 
@@ -139,6 +140,32 @@ TEST(DeterminismTest, Conv2dBackwardOddBatchAcrossPoolSizes) {
       EXPECT_EQ(Bits(serial.grad_bias), Bits(parallel.grad_bias))
           << "stride " << spec.stride << ", pool of " << pool;
     }
+  }
+}
+
+// ts::Sigmoid / ts::Tanh split their range over the pool; an odd
+// length leaves every split with a ragged tail lane, which must not
+// change any element.
+TEST(DeterminismTest, ActivationsAcrossPoolSizes) {
+  geotorch::Rng rng(11);
+  ts::Tensor x = ts::Tensor::Randn({3, 40001}, rng, 0.0f, 6.0f);
+  x.flat(7) = -0.0f;
+  x.flat(40000) = 95.0f;
+  x.flat(80001) = -95.0f;
+  ts::Tensor serial_sigmoid;
+  ts::Tensor serial_tanh;
+  {
+    ts::DeviceGuard device(ts::Device::kSerial);
+    serial_sigmoid = ts::Sigmoid(x);
+    serial_tanh = ts::Tanh(x);
+  }
+  GlobalPoolRestorer restore;
+  for (int pool : kPoolSizes) {
+    geotorch::ThreadPool::ResetGlobalForTesting(pool);
+    ts::DeviceGuard device(ts::Device::kParallel);
+    EXPECT_EQ(Bits(serial_sigmoid), Bits(ts::Sigmoid(x)))
+        << "Sigmoid, pool of " << pool;
+    EXPECT_EQ(Bits(serial_tanh), Bits(ts::Tanh(x))) << "Tanh, pool of " << pool;
   }
 }
 

@@ -25,6 +25,7 @@
 #include "tensor/device.h"
 #include "tensor/fusion.h"
 #include "tensor/gemm.h"
+#include "tensor/ops.h"
 #include "tensor/tensor.h"
 
 namespace {
@@ -152,6 +153,9 @@ TEST(FusionTest, GemmEpilogueMatchesSeparatePasses) {
         for (int64_t j = 0; j < n; ++j) ref.flat(i * n + j) += row_bias.flat(i);
       for (int64_t i = 0; i < m; ++i)
         for (int64_t j = 0; j < n; ++j) ref.flat(i * n + j) += col_bias.flat(j);
+      if (act == ts::EpilogueAct::kSigmoid) {
+        ref = ts::Sigmoid(ref);  // the separate elementwise pass
+      }
       for (int64_t i = 0; i < ref.numel(); ++i) {
         const float x = ref.flat(i);
         switch (act) {
@@ -160,9 +164,6 @@ TEST(FusionTest, GemmEpilogueMatchesSeparatePasses) {
             break;
           case ts::EpilogueAct::kLeakyRelu:
             ref.flat(i) = x > 0.0f ? x : 0.125f * x;
-            break;
-          case ts::EpilogueAct::kSigmoid:
-            ref.flat(i) = 1.0f / (1.0f + std::exp(-x));
             break;
           default:
             break;

@@ -5,7 +5,11 @@
 
 #include "tensor/gemm.h"
 
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -130,6 +134,144 @@ TEST(GemmTest, ZeroKScalesC) {
   EXPECT_FLOAT_EQ(c[3], 2.0f);
   Gemm(nullptr, nullptr, c.data(), 2, 0, 2, {.beta = 0.0f});
   for (float v : c) EXPECT_FLOAT_EQ(v, 0.0f);
+}
+
+// --- Sigmoid / tanh span kernels ------------------------------------------
+
+uint32_t BitsOf(float f) {
+  uint32_t b;
+  std::memcpy(&b, &f, sizeof(b));
+  return b;
+}
+
+float FromBits(uint32_t b) {
+  float f;
+  std::memcpy(&f, &b, sizeof(f));
+  return f;
+}
+
+// Number of representable floats between a and b.
+int64_t UlpDistance(float a, float b) {
+  auto ordered = [](float f) {
+    const int64_t bits = BitsOf(f);
+    return (bits & 0x80000000) != 0 ? -(bits & 0x7fffffff) : bits;
+  };
+  return std::llabs(ordered(a) - ordered(b));
+}
+
+double SigmoidRef(double x) { return 1.0 / (1.0 + std::exp(-x)); }
+double TanhRef(double x) { return std::tanh(x); }
+
+using SpanFn = void (*)(const float*, float*, int64_t);
+
+// Runs `span` over every `stride`-th float bit pattern in [lo, hi]
+// (lo, hi >= 0) with both signs, in one call, and returns the inputs
+// and outputs.
+void SweepSpan(SpanFn span, float lo, float hi, uint32_t stride,
+               std::vector<float>* x, std::vector<float>* y) {
+  for (uint32_t b = BitsOf(lo); b <= BitsOf(hi); b += stride) {
+    x->push_back(FromBits(b));
+    x->push_back(-FromBits(b));
+  }
+  y->resize(x->size());
+  span(x->data(), y->data(), static_cast<int64_t>(x->size()));
+}
+
+// Within `max_ulp` of the double-precision reference rounded to float
+// for |x| <= 87.
+void ExpectWithinUlp(SpanFn span, double (*ref)(double), int64_t max_ulp) {
+  std::vector<float> x, y;
+  SweepSpan(span, 0.0f, 87.0f, 1999, &x, &y);
+  int64_t worst = 0;
+  float worst_x = 0.0f;
+  for (size_t i = 0; i < x.size(); ++i) {
+    const int64_t d = UlpDistance(y[i], static_cast<float>(ref(x[i])));
+    if (d > worst) {
+      worst = d;
+      worst_x = x[i];
+    }
+  }
+  EXPECT_LE(worst, max_ulp) << "at x = " << worst_x;
+}
+
+TEST(ActivationSpanTest, SigmoidWithinTwoUlp) {
+  ExpectWithinUlp(SigmoidSpan, SigmoidRef, 2);
+  // Past -87 the result runs into the subnormal range: absolute error.
+  std::vector<float> x, y;
+  SweepSpan(SigmoidSpan, 87.0f, 120.0f, 997, &x, &y);
+  for (size_t i = 0; i < x.size(); ++i) {
+    ASSERT_LE(std::fabs(y[i] - SigmoidRef(x[i])), FLT_MIN) << "x = " << x[i];
+  }
+}
+
+TEST(ActivationSpanTest, TanhWithinTwoUlp) {
+  ExpectWithinUlp(TanhSpan, TanhRef, 2);
+}
+
+TEST(ActivationSpanTest, SpecialValues) {
+  const float inf = INFINITY;
+  const float sub = 1e-40f;  // subnormal
+  const std::vector<float> x = {NAN,  -NAN,         inf,  -inf, 0.0f, -0.0f,
+                                sub,  -sub,         FLT_TRUE_MIN,
+                                -FLT_TRUE_MIN,      100.0f, -100.0f};
+  std::vector<float> s(x.size()), t(x.size());
+  SigmoidSpan(x.data(), s.data(), static_cast<int64_t>(x.size()));
+  TanhSpan(x.data(), t.data(), static_cast<int64_t>(x.size()));
+  EXPECT_TRUE(std::isnan(s[0]) && std::isnan(s[1]));
+  EXPECT_TRUE(std::isnan(t[0]) && std::isnan(t[1]));
+  EXPECT_EQ(s[2], 1.0f);
+  EXPECT_EQ(s[3], 0.0f);
+  EXPECT_EQ(t[2], 1.0f);
+  EXPECT_EQ(t[3], -1.0f);
+  // tanh(±0) = ±0 with the sign kept; sigmoid(±0) = 1/2.
+  EXPECT_EQ(BitsOf(t[4]), BitsOf(0.0f));
+  EXPECT_EQ(BitsOf(t[5]), BitsOf(-0.0f));
+  EXPECT_EQ(s[4], 0.5f);
+  EXPECT_EQ(s[5], 0.5f);
+  // Subnormal inputs: tanh(x) rounds to x, sigmoid(x) to 1/2.
+  for (size_t i = 6; i < 10; ++i) {
+    EXPECT_EQ(BitsOf(t[i]), BitsOf(x[i])) << "x = " << x[i];
+    EXPECT_EQ(s[i], 0.5f) << "x = " << x[i];
+  }
+  EXPECT_EQ(s[10], 1.0f);
+  EXPECT_LE(s[11], FLT_MIN);
+  EXPECT_GE(s[11], 0.0f);
+  EXPECT_EQ(t[10], 1.0f);
+  EXPECT_EQ(t[11], -1.0f);
+}
+
+// An element's result does not depend on where it sits in the span or
+// on the span's length: every (offset, length) window reproduces the
+// whole-array call bit for bit, writes nothing past its end, and the
+// in-place call matches too.
+TEST(ActivationSpanTest, PositionIndependent) {
+  Rng rng(23);
+  std::vector<float> x(64);
+  for (auto& v : x) v = static_cast<float>(rng.Uniform(-12.0, 12.0));
+  x[5] = -0.0f;
+  x[17] = 0.3f;
+  x[40] = 90.0f;
+  for (SpanFn span : {SigmoidSpan, TanhSpan}) {
+    std::vector<float> whole(x.size());
+    span(x.data(), whole.data(), static_cast<int64_t>(x.size()));
+    for (int64_t off = 0; off <= 16; ++off) {
+      for (int64_t len = 0; len <= 40; ++len) {
+        std::vector<float> out(len + 1, 7.0f);
+        span(x.data() + off, out.data(), len);
+        for (int64_t k = 0; k < len; ++k) {
+          ASSERT_EQ(BitsOf(out[k]), BitsOf(whole[off + k]))
+              << "offset " << off << " length " << len << " k " << k;
+        }
+        ASSERT_EQ(out[len], 7.0f) << "wrote past the span end";
+      }
+    }
+    std::vector<float> in_place = x;
+    span(in_place.data(), in_place.data(),
+         static_cast<int64_t>(in_place.size()));
+    for (size_t i = 0; i < x.size(); ++i) {
+      ASSERT_EQ(BitsOf(in_place[i]), BitsOf(whole[i])) << "i=" << i;
+    }
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <string>
@@ -16,6 +17,7 @@
 #include "spatial/join.h"
 #include "spatial/strtree.h"
 #include "tensor/conv.h"
+#include "tensor/gemm.h"
 #include "tensor/ops.h"
 
 namespace geotorch {
@@ -115,6 +117,51 @@ ts::Conv2dGrads DirectConvGrads(const ts::Tensor& g, const ts::Tensor& x,
   return grads;
 }
 
+// grad_w and grad_b in the summation order Conv2dBackward defines,
+// built from a materialized patch matrix: min(N, 8) partials over the
+// fixed sample ranges [t·N/P, (t+1)·N/P), each the sum over its samples
+// of Gemm(g_i, Im2Col(x_i)ᵀ) (the first sample overwrites) and of the
+// double-accumulated bias sums, then added from zero in index order.
+ts::Conv2dGrads MaterializedWeightGrads(const ts::Tensor& g,
+                                        const ts::Tensor& x,
+                                        const ts::Tensor& w,
+                                        const ts::ConvSpec& spec) {
+  const int64_t n = x.size(0);
+  const int64_t f = w.size(0);
+  const int64_t ck = w.numel() / f;
+  const int64_t l = g.size(2) * g.size(3);
+  const int64_t parts = std::min<int64_t>(n, 8);
+  ts::Conv2dGrads out;
+  out.grad_w = ts::Tensor::Zeros(w.shape());
+  out.grad_bias = ts::Tensor::Zeros({f});
+  std::vector<float> gw(f * ck);
+  std::vector<float> gb(f);
+  for (int64_t t = 0; t < parts; ++t) {
+    const int64_t begin = t * n / parts;
+    const int64_t end = (t + 1) * n / parts;
+    std::fill(gb.begin(), gb.end(), 0.0f);
+    for (int64_t i = begin; i < end; ++i) {
+      const float* g_i = g.data() + i * f * l;
+      const ts::Tensor cols = ts::Im2Col(x, i, w.size(2), w.size(3), spec);
+      ts::Gemm(g_i, cols.data(), gw.data(), f, l, ck,
+               {.beta = i == begin ? 0.0f : 1.0f, .trans_b = true});
+      for (int64_t fi = 0; fi < f; ++fi) {
+        double sum = 0.0;
+        for (int64_t j = 0; j < l; ++j) sum += g_i[fi * l + j];
+        gb[fi] += static_cast<float>(sum);
+      }
+    }
+    for (int64_t e = 0; e < f * ck; ++e) out.grad_w.flat(e) += gw[e];
+    for (int64_t fi = 0; fi < f; ++fi) out.grad_bias.flat(fi) += gb[fi];
+  }
+  return out;
+}
+
+bool SameBits(const ts::Tensor& a, const ts::Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), sizeof(float) * a.numel()) == 0;
+}
+
 std::string ConvLabel(const ConvParams& p) {
   auto [c, f, k, stride, padding, size] = p;
   return "c=" + std::to_string(c) + " f=" + std::to_string(f) +
@@ -164,6 +211,30 @@ TEST_P(ConvSweep, BackwardMatchesDirect) {
   ASSERT_EQ(no_x.grad_bias.shape(), fast.grad_bias.shape());
   EXPECT_EQ(0, std::memcmp(no_x.grad_bias.data(), fast.grad_bias.data(),
                            sizeof(float) * fast.grad_bias.numel()));
+}
+
+// The weight gradient gathers its patch rows from the image instead of
+// materializing im2col, with the same K order, K blocks and partials:
+// grad_w and grad_b are bitwise the materialized-im2col reduction, for
+// batches that leave the partials with one sample, unequal sample
+// counts, and more samples than partials.
+TEST_P(ConvSweep, WeightGradMatchesMaterializedIm2Col) {
+  auto [c, f, k, stride, padding, size] = GetParam();
+  const ts::ConvSpec spec{.stride = stride, .padding = padding};
+  const int64_t o = ts::ConvOutSize(size, k, stride, padding);
+  for (const int64_t n : {3, 5, 9}) {
+    Rng rng(c * 100 + f * 10 + k + n);
+    const ts::Tensor x = ts::Tensor::Randn({n, c, size, size}, rng);
+    const ts::Tensor w = ts::Tensor::Randn({f, c, k, k}, rng, 0.0f, 0.5f);
+    const ts::Tensor g = ts::Tensor::Randn({n, f, o, o}, rng);
+    const ts::Conv2dGrads fast = ts::Conv2dBackward(
+        g, x, w, /*has_bias=*/true, spec, /*need_grad_x=*/false);
+    const ts::Conv2dGrads ref = MaterializedWeightGrads(g, x, w, spec);
+    EXPECT_TRUE(SameBits(fast.grad_w, ref.grad_w))
+        << "grad_w N=" << n << " " << ConvLabel(GetParam());
+    EXPECT_TRUE(SameBits(fast.grad_bias, ref.grad_bias))
+        << "grad_b N=" << n << " " << ConvLabel(GetParam());
+  }
 }
 
 // Stride 1 at padding 0, k/2 and k-1 takes the flipped-conv grad_x;
