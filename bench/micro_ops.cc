@@ -531,13 +531,13 @@ int RunFusionAb(const std::string& json_path, bool smoke) {
   const int op_reps = smoke ? 5 : 100;
   const int blocks = smoke ? 1 : 3;
 
-  // us[precision][0]=unfused, [1]=fused; precision 0=f32 1=bf16 2=int8.
-  std::vector<std::array<std::array<double, 2>, 3>> op_us(n_shapes);
+  // us[precision][0]=unfused, [1]=fused; precision 0=f32 1=int8.
+  std::vector<std::array<std::array<double, 2>, 2>> op_us(n_shapes);
 
   std::printf("fusion A/B, op level (batch %lld, best of %d x %d reps):\n",
               static_cast<long long>(batch), blocks, op_reps);
-  std::printf("  %-14s %9s %9s %6s | %9s %6s | %9s %6s\n", "shape",
-              "f32 unf", "f32 fus", "x", "bf16 fus", "x", "int8 fus", "x");
+  std::printf("  %-14s %9s %9s %6s | %9s %6s\n", "shape", "f32 unf",
+              "f32 fus", "x", "int8 fus", "x");
   for (int s = 0; s < n_shapes; ++s) {
     const FusionOpShape& sh = kShapes[s];
     Rng rng(40 + static_cast<uint64_t>(s));
@@ -548,8 +548,6 @@ int RunFusionAb(const std::string& json_path, bool smoke) {
     const ts::Tensor bias = ts::Tensor::Randn({sh.f}, rng, 0.0f, 0.1f);
     const ts::ConvSpec spec{sh.stride, sh.pad};
     const int64_t ck = sh.c * sh.k * sh.k;
-    std::vector<uint16_t> w_bf16(static_cast<size_t>(w.numel()));
-    ts::ConvertToBf16(w.data(), w_bf16.data(), w.numel());
     std::vector<int8_t> w_q(static_cast<size_t>(w.numel()));
     std::vector<float> w_scales(static_cast<size_t>(sh.f));
     ts::QuantizeRowsInt8(w.data(), sh.f, ck, w_q.data(), w_scales.data());
@@ -565,25 +563,12 @@ int RunFusionAb(const std::string& json_path, bool smoke) {
         op_reps, blocks);
     op_us[s][1][0] = TimeBestUs(
         [&] {
-          (void)ts::Relu(ts::Conv2dForwardBf16(x, w_bf16.data(), sh.f, sh.c,
-                                               sh.k, sh.k, bias, spec));
-        },
-        op_reps, blocks);
-    op_us[s][1][1] = TimeBestUs(
-        [&] {
-          (void)ts::Conv2dForwardFusedBf16(x, w_bf16.data(), sh.f, sh.c,
-                                           sh.k, sh.k, bias, spec,
-                                           ts::EpilogueAct::kRelu, 0.01f);
-        },
-        op_reps, blocks);
-    op_us[s][2][0] = TimeBestUs(
-        [&] {
           (void)ts::Relu(ts::Conv2dForwardInt8(x, w_q.data(),
                                                w_scales.data(), sh.f, sh.c,
                                                sh.k, sh.k, 0.0f, bias, spec));
         },
         op_reps, blocks);
-    op_us[s][2][1] = TimeBestUs(
+    op_us[s][1][1] = TimeBestUs(
         [&] {
           (void)ts::Conv2dForwardFusedInt8(x, w_q.data(), w_scales.data(),
                                            sh.f, sh.c, sh.k, sh.k, 0.0f,
@@ -591,12 +576,10 @@ int RunFusionAb(const std::string& json_path, bool smoke) {
                                            0.01f);
         },
         op_reps, blocks);
-    std::printf(
-        "  %-14s %9.1f %9.1f %5.2fx | %9.1f %5.2fx | %9.1f %5.2fx\n",
-        sh.name, op_us[s][0][0], op_us[s][0][1],
-        op_us[s][0][0] / op_us[s][0][1], op_us[s][1][1],
-        op_us[s][1][0] / op_us[s][1][1], op_us[s][2][1],
-        op_us[s][2][0] / op_us[s][2][1]);
+    std::printf("  %-14s %9.1f %9.1f %5.2fx | %9.1f %5.2fx\n", sh.name,
+                op_us[s][0][0], op_us[s][0][1],
+                op_us[s][0][0] / op_us[s][0][1], op_us[s][1][1],
+                op_us[s][1][0] / op_us[s][1][1]);
   }
 
   // Model level: the acceptance shape — SatCNN eval forward, fused vs
@@ -620,14 +603,14 @@ int RunFusionAb(const std::string& json_path, bool smoke) {
     model.SetCalibrating(false);
   }
 
-  static const char* kPrecNames[] = {"f32", "bf16", "int8"};
-  static const nn::Precision kPrecs[] = {
-      nn::Precision::kF32, nn::Precision::kBf16, nn::Precision::kInt8};
+  static const char* kPrecNames[] = {"f32", "int8"};
+  static const nn::Precision kPrecs[] = {nn::Precision::kF32,
+                                         nn::Precision::kInt8};
   const int64_t batches[] = {1, 8};
   // model_us[precision][batch index][0]=unfused, [1]=fused
-  double model_us[3][2][2] = {};
+  double model_us[2][2][2] = {};
   std::printf("fusion A/B, SatCNN eval forward (4ch 28x28, base 16):\n");
-  for (int p = 0; p < 3; ++p) {
+  for (int p = 0; p < 2; ++p) {
     model.SetPrecision(kPrecs[p]);
     for (int bi = 0; bi < 2; ++bi) {
       Rng rng(90 + static_cast<uint64_t>(bi));
@@ -679,8 +662,6 @@ int RunFusionAb(const std::string& json_path, bool smoke) {
           "\"k\": %lld, \"stride\": %lld, \"pad\": %lld,\n"
           "     \"f32_unfused_us\": %.1f, \"f32_fused_us\": %.1f, "
           "\"f32_speedup\": %.3f,\n"
-          "     \"bf16_unfused_us\": %.1f, \"bf16_fused_us\": %.1f, "
-          "\"bf16_speedup\": %.3f,\n"
           "     \"int8_unfused_us\": %.1f, \"int8_fused_us\": %.1f, "
           "\"int8_speedup\": %.3f}%s\n",
           sh.name, static_cast<long long>(sh.c), static_cast<long long>(sh.f),
@@ -688,11 +669,10 @@ int RunFusionAb(const std::string& json_path, bool smoke) {
           static_cast<long long>(sh.stride), static_cast<long long>(sh.pad),
           op_us[s][0][0], op_us[s][0][1], op_us[s][0][0] / op_us[s][0][1],
           op_us[s][1][0], op_us[s][1][1], op_us[s][1][0] / op_us[s][1][1],
-          op_us[s][2][0], op_us[s][2][1], op_us[s][2][0] / op_us[s][2][1],
           s + 1 < n_shapes ? "," : "");
     }
     std::fprintf(out, "  ],\n  \"model\": [\n");
-    for (int p = 0; p < 3; ++p) {
+    for (int p = 0; p < 2; ++p) {
       for (int bi = 0; bi < 2; ++bi) {
         std::fprintf(
             out,
@@ -702,7 +682,7 @@ int RunFusionAb(const std::string& json_path, bool smoke) {
             kPrecNames[p], static_cast<long long>(batches[bi]),
             model_us[p][bi][0], model_us[p][bi][1],
             model_us[p][bi][0] / model_us[p][bi][1],
-            (p == 2 && bi == 1) ? "" : ",");
+            (p == 1 && bi == 1) ? "" : ",");
       }
     }
     std::fprintf(out,

@@ -67,8 +67,8 @@ enum WorkspaceSlot {
   kWorkspaceGemmPackB,      ///< packed B micro-panels (GEMM)
   kWorkspaceIm2Col,         ///< im2col patch matrix (conv kernels)
   kWorkspaceConvCols,       ///< second column matrix (conv backward/transpose)
-  kWorkspaceGemmLpA,        ///< packed A panels, low-precision GEMMs
-  kWorkspaceGemmLpB,        ///< packed B panels, low-precision GEMMs
+  kWorkspaceGemmLpA,        ///< packed A panels, int8 GEMM
+  kWorkspaceGemmLpB,        ///< packed B panels, int8 GEMM
   kWorkspaceQuant,          ///< quantized activations at layer boundaries
   kWorkspaceSlotCount,
 };

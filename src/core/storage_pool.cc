@@ -171,4 +171,29 @@ void StoragePool::PublishGauges() {
   obs::SetGauge("pool.cached_blocks", total_blocks);
 }
 
+Status StoragePool::CheckInvariants() const {
+  for (int si = 0; si < kNumShards; ++si) {
+    Shard& shard = shards_[si];
+    std::lock_guard<std::mutex> lock(shard.mu);
+    int64_t listed = 0;
+    for (int cls = 0; cls < kNumClasses; ++cls) {
+      const int64_t blocks = static_cast<int64_t>(shard.lists[cls].size());
+      if (blocks > 0 && cls % kNumShards != si) {
+        return Status::Internal("storage pool shard " + std::to_string(si) +
+                                " holds blocks of class " +
+                                std::to_string(cls) + " keyed to shard " +
+                                std::to_string(cls % kNumShards));
+      }
+      listed += blocks << (cls + kMinClassLog2);
+    }
+    if (listed != shard.cached_bytes) {
+      return Status::Internal("storage pool shard " + std::to_string(si) +
+                              " cached_bytes " +
+                              std::to_string(shard.cached_bytes) +
+                              " != listed bytes " + std::to_string(listed));
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace geotorch

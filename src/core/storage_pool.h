@@ -11,6 +11,8 @@
 #include <mutex>
 #include <vector>
 
+#include "core/status.h"
+
 namespace geotorch {
 
 /// Caching allocator behind tensor storage: power-of-two size classes
@@ -56,6 +58,12 @@ class StoragePool {
   /// Exports pool.cached_bytes / pool.cached_blocks and per-class
   /// occupancy gauges.
   void PublishGauges();
+  /// Checks the bookkeeping the pool relies on, shard by shard under
+  /// its lock: cached_bytes equals the sum over the free lists of
+  /// blocks × class size, and a class's blocks sit only in the shard
+  /// that class is keyed to. Returns Internal naming the first broken
+  /// shard; cheap enough for tests to call after any phase.
+  Status CheckInvariants() const;
 
  private:
   struct Shard {

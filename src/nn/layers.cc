@@ -90,13 +90,6 @@ ag::Variable Linear::Forward(const ag::Variable& x) {
     const int64_t m = xv.size(0);
     const int64_t k = xv.size(1);
     const int64_t n = weight_.shape()[1];
-    if (precision() == Precision::kBf16 && !w_bf16_.empty()) {
-      ts::Tensor y = ts::Tensor::Uninitialized({m, n});
-      ts::GemmBf16(xv.data(), ts::Bf16PackedB{w_bf16_.data()}, y.data(), m, k,
-                   n);
-      if (has_bias_) AddBiasRow(y.data(), bias_.value().data(), m, n);
-      return ag::Variable(std::move(y));
-    }
     if (precision() == Precision::kInt8 && !w_q_.empty()) {
       const float act_scale =
           act_absmax_ > 0.0f
@@ -122,7 +115,6 @@ ag::Variable Linear::Forward(const ag::Variable& x) {
 }
 
 void Linear::OnPrecisionChanged() {
-  w_bf16_.clear();
   w_q_.clear();
   w_scales_.clear();
   const ts::Tensor& w = weight_.value();
@@ -132,12 +124,7 @@ void Linear::OnPrecisionChanged() {
   // it is stored pre-packed in the kernel's panel layout — the per-call
   // cost of the low-precision GEMM is then just packing the small
   // activation panel.
-  if (precision() == Precision::kBf16) {
-    std::vector<uint16_t> raw(w.numel());
-    ts::ConvertToBf16(w.data(), raw.data(), w.numel());
-    w_bf16_.resize(ts::Bf16PackedBSize(in, out));
-    ts::PackBf16B(raw.data(), in, out, w_bf16_.data());
-  } else if (precision() == Precision::kInt8) {
+  if (precision() == Precision::kInt8) {
     std::vector<int8_t> raw(w.numel());
     w_scales_.resize(out);
     ts::QuantizeColsInt8(w.data(), in, out, raw.data(), w_scales_.data());
@@ -162,13 +149,6 @@ ag::Variable Linear::ForwardFusedEval(const ag::Variable& x,
   ep.leaky_slope = leaky_slope;
   ts::Tensor y = ts::Tensor::Uninitialized({m, n});
   if (UseLowPrecision(*this)) {
-    if (precision() == Precision::kBf16 && !w_bf16_.empty()) {
-      ts::GemmOptions opts;
-      opts.epilogue = &ep;
-      ts::GemmBf16(xv.data(), ts::Bf16PackedB{w_bf16_.data()}, y.data(), m, k,
-                   n, opts);
-      return ag::Variable(std::move(y));
-    }
     if (precision() == Precision::kInt8 && !w_q_.empty()) {
       const float act_scale =
           act_absmax_ > 0.0f
@@ -222,10 +202,6 @@ ag::Variable Conv2d::Forward(const ag::Variable& x) {
     const int64_t kw = w.size(3);
     const ts::Tensor empty;
     const ts::Tensor& b = has_bias_ ? bias_.value() : empty;
-    if (precision() == Precision::kBf16 && !w_bf16_.empty()) {
-      return ag::Variable(
-          ts::Conv2dForwardBf16(xv, w_bf16_.data(), f, c, kh, kw, b, spec_));
-    }
     if (precision() == Precision::kInt8 && !w_q_.empty()) {
       const float act_scale =
           act_absmax_ > 0.0f ? ts::SymmetricScale(act_absmax_) : 0.0f;
@@ -238,14 +214,10 @@ ag::Variable Conv2d::Forward(const ag::Variable& x) {
 }
 
 void Conv2d::OnPrecisionChanged() {
-  w_bf16_.clear();
   w_q_.clear();
   w_scales_.clear();
   const ts::Tensor& w = weight_.value();
-  if (precision() == Precision::kBf16) {
-    w_bf16_.resize(w.numel());
-    ts::ConvertToBf16(w.data(), w_bf16_.data(), w.numel());
-  } else if (precision() == Precision::kInt8) {
+  if (precision() == Precision::kInt8) {
     const int64_t f = w.size(0);
     const int64_t ck = w.numel() / f;
     w_q_.resize(w.numel());
@@ -271,10 +243,6 @@ ag::Variable Conv2d::ForwardFusedEval(const ag::Variable& x,
     // live parameters (bitwise vs the unfused sequence).
     const ts::Tensor empty;
     const ts::Tensor& b = has_bias_ ? bias_.value() : empty;
-    if (lp && precision() == Precision::kBf16 && !w_bf16_.empty()) {
-      return ag::Variable(ts::Conv2dForwardFusedBf16(
-          xv, w_bf16_.data(), f, c, kh, kw, b, spec_, act, leaky_slope));
-    }
     if (lp && precision() == Precision::kInt8 && !w_q_.empty()) {
       const float act_scale =
           act_absmax_ > 0.0f ? ts::SymmetricScale(act_absmax_) : 0.0f;
@@ -288,11 +256,6 @@ ag::Variable Conv2d::ForwardFusedEval(const ag::Variable& x,
   GEO_CHECK_EQ(bn->channels(), f) << "conv+BN fusion channel mismatch";
   const Precision prec = lp ? precision() : Precision::kF32;
   RefreshFoldedCache(*bn, prec);
-  if (prec == Precision::kBf16 && !fold_.w_bf16.empty()) {
-    return ag::Variable(ts::Conv2dForwardFusedBf16(
-        xv, fold_.w_bf16.data(), f, c, kh, kw, fold_.b, spec_, act,
-        leaky_slope));
-  }
   if (prec == Precision::kInt8 && !fold_.w_q.empty()) {
     const float act_scale =
         act_absmax_ > 0.0f ? ts::SymmetricScale(act_absmax_) : 0.0f;
@@ -331,13 +294,9 @@ void Conv2d::RefreshFoldedCache(const BatchNorm2d& bn, Precision prec) {
     for (int64_t j = 0; j < ck; ++j) pfw[fi * ck + j] = pw[fi * ck + j] * s;
     pfb[fi] = (pb != nullptr ? pb[fi] * s : 0.0f) + shift[fi];
   }
-  fold_.w_bf16.clear();
   fold_.w_q.clear();
   fold_.w_scales.clear();
-  if (prec == Precision::kBf16) {
-    fold_.w_bf16.resize(w.numel());
-    ts::ConvertToBf16(pfw, fold_.w_bf16.data(), w.numel());
-  } else if (prec == Precision::kInt8) {
+  if (prec == Precision::kInt8) {
     fold_.w_q.resize(w.numel());
     fold_.w_scales.resize(f);
     ts::QuantizeRowsInt8(pfw, f, ck, fold_.w_q.data(), fold_.w_scales.data());

@@ -23,8 +23,8 @@ namespace geotorch::serve {
 ///                                real request does not pay pool /
 ///                                workspace cold-start (default 2)
 ///   GEOTORCH_SERVE_PRECISION     numeric mode the served model runs
-///                                its GEMMs in: "f32" (default),
-///                                "bf16", or "int8" (DESIGN.md §10).
+///                                its GEMMs in: "f32" (default) or
+///                                "int8" (DESIGN.md §10).
 ///                                Applied by the serve/adapters.h
 ///                                factories at model-wrap time, which
 ///                                is when int8 weights are quantized

@@ -19,16 +19,14 @@ namespace geotorch::serve {
 
 /// One loaded model version behind a fleet replica (DESIGN.md §11).
 /// Type-erased on purpose: the fleet routes, swaps, and retires
-/// snapshots without knowing the model family, which keeps fleet.cc's
-/// dependency surface identical to engine.cc's (tensor/core/obs) so
-/// fleet_tsan_test can recompile the router + reload path standalone.
+/// snapshots without knowing the model family.
 ///
 /// `owner` keeps the module (or whatever backs `forward`) alive;
 /// in-flight batches hold a shared_ptr to the whole snapshot, so a
 /// swapped-out version retires exactly when its last batch finishes.
 /// `load` rebuilds THIS snapshot's own weights from a GTCP checkpoint
 /// path — factories typically wire io::LoadStateDict plus a
-/// SetPrecision re-derivation of the packed low-precision panels; a
+/// SetPrecision re-derivation of the packed int8 panels; a
 /// null `load` marks the model as not hot-reloadable.
 struct ModelSnapshot {
   std::shared_ptr<void> owner;

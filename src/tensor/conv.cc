@@ -160,23 +160,6 @@ void AddBiasRows(float* out_i, const float* pb, int64_t f, int64_t l) {
 
 }  // namespace
 
-Tensor Conv2dForwardBf16(const Tensor& x, const uint16_t* w_bf16, int64_t f,
-                         int64_t c, int64_t kh, int64_t kw, const Tensor& bias,
-                         const ConvSpec& spec) {
-  const LpConvDims d = LpConvCheck(x, f, c, kh, kw, bias, spec);
-  Tensor out = Tensor::Uninitialized({d.n, f, d.oh, d.ow});
-  const float* pb = bias.numel() > 0 ? bias.data() : nullptr;
-  float* po = out.data();
-  ForEachSample(d.n, [&](int64_t i) {
-    float* cols = ThreadLocalWorkspace(kWorkspaceIm2Col, d.ck * d.l);
-    Im2ColInto(x, i, kh, kw, spec, cols);
-    float* out_i = po + i * f * d.l;
-    GemmBf16(w_bf16, cols, out_i, f, d.ck, d.l, {.beta = 0.0f});
-    if (pb != nullptr) AddBiasRows(out_i, pb, f, d.l);
-  });
-  return out;
-}
-
 Tensor Conv2dForwardInt8(const Tensor& x, const int8_t* w_q,
                          const float* w_scales, int64_t f, int64_t c,
                          int64_t kh, int64_t kw, float act_scale,
@@ -220,8 +203,7 @@ bool Is1x1Direct(int64_t kh, int64_t kw, const ConvSpec& spec) {
 // Stride-1 f32 convs always go through GemmConv: past the reference
 // threshold it runs the direct im2col-free kernel, which beats both
 // materialize+pack and the gather-pack at every depth. For strided
-// shapes (and bf16, which has no direct kernel) the implicit gather
-// only beats materialize+pack when the patch matrix is shallow (few
+// shapes the implicit gather only beats materialize+pack when the patch matrix is shallow (few
 // rows re-reading the same input plane); for deep patch matrices the
 // branchy row gather loses to the memcpy-based Im2ColInto followed by
 // a contiguous pack. int8 is exempt: its win comes from quantizing the
@@ -320,45 +302,6 @@ Tensor Conv2dForwardFused(const Tensor& x, const Tensor& w, const Tensor& bias,
   ep.act = act;
   ep.leaky_slope = leaky_slope;
   return ConvForwardF32(x, w, bias, spec, ep);
-}
-
-Tensor Conv2dForwardFusedBf16(const Tensor& x, const uint16_t* w_bf16,
-                              int64_t f, int64_t c, int64_t kh, int64_t kw,
-                              const Tensor& bias, const ConvSpec& spec,
-                              EpilogueAct act, float leaky_slope) {
-  const LpConvDims d = LpConvCheck(x, f, c, kh, kw, bias, spec);
-  const int64_t h = x.size(2);
-  const int64_t wd = x.size(3);
-  GEO_OBS_COUNT("fusion.conv_calls", 1);
-  Tensor out = Tensor::Uninitialized({d.n, f, d.oh, d.ow});
-  GemmEpilogue ep;
-  ep.row_bias = bias.numel() > 0 ? bias.data() : nullptr;
-  ep.act = act;
-  ep.leaky_slope = leaky_slope;
-  const float* px = x.data();
-  float* po = out.data();
-  const bool direct = Is1x1Direct(kh, kw, spec);
-  if (direct) GEO_OBS_COUNT("fusion.conv_1x1", d.n);
-  const bool implicit = !direct && d.ck <= kImplicitGatherMaxK;
-  ForEachSample(d.n, [&](int64_t i) {
-    float* out_i = po + i * f * d.l;
-    const float* plane = px + i * c * h * wd;
-    GemmOptions opts;
-    opts.beta = 0.0f;
-    opts.epilogue = &ep;
-    if (direct) {
-      GemmBf16(w_bf16, plane, out_i, f, c, d.l, opts);
-    } else if (implicit) {
-      const ConvImageView<float> view =
-          MakeConvView(plane, c, h, wd, kh, kw, spec, d.oh, d.ow);
-      GemmConvBf16(w_bf16, view, out_i, f, opts);
-    } else {
-      float* cols = ThreadLocalWorkspace(kWorkspaceIm2Col, d.ck * d.l);
-      Im2ColInto(x, i, kh, kw, spec, cols);
-      GemmBf16(w_bf16, cols, out_i, f, d.ck, d.l, opts);
-    }
-  });
-  return out;
 }
 
 Tensor Conv2dForwardFusedInt8(const Tensor& x, const int8_t* w_q,

@@ -38,19 +38,12 @@ void Col2ImAdd(const Tensor& cols, Tensor& out, int64_t n, int64_t kh,
 Tensor Conv2dForward(const Tensor& x, const Tensor& w, const Tensor& bias,
                      const ConvSpec& spec);
 
-/// Low-precision eval-path variants of Conv2dForward (DESIGN.md §10).
-/// Both take the weights flattened row-major to (F, C*KH*KW) — the
-/// natural flat view of a (F, C, KH, KW) tensor.
-///
-/// bf16: weights pre-converted to bf16; the im2col patch matrix stays
-/// f32 and is rounded to bf16 as the GEMM packs it, accumulation f32.
-Tensor Conv2dForwardBf16(const Tensor& x, const uint16_t* w_bf16, int64_t f,
-                         int64_t c, int64_t kh, int64_t kw, const Tensor& bias,
-                         const ConvSpec& spec);
-
-/// int8: per-output-channel symmetric weights (w_q with w_scales[F]),
-/// per-tensor activation scale `act_scale` (pass 0 to derive it
-/// dynamically from this batch's absmax). The im2col matrix is
+/// int8 eval-path variant of Conv2dForward (DESIGN.md §10). Takes the
+/// weights flattened row-major to (F, C*KH*KW) — the natural flat view
+/// of a (F, C, KH, KW) tensor — as per-output-channel symmetric weights
+/// (w_q with w_scales[F]), and a per-tensor activation scale
+/// `act_scale` (pass 0 to derive it dynamically from this batch's
+/// absmax). The im2col matrix is
 /// quantized into a thread-local int8 workspace; accumulation is i32,
 /// so serial and parallel runs are bitwise identical.
 Tensor Conv2dForwardInt8(const Tensor& x, const int8_t* w_q,
@@ -70,12 +63,6 @@ Tensor Conv2dForwardInt8(const Tensor& x, const int8_t* w_q,
 Tensor Conv2dForwardFused(const Tensor& x, const Tensor& w, const Tensor& bias,
                           const ConvSpec& spec, EpilogueAct act,
                           float leaky_slope);
-
-/// bf16 weights, pre-converted row-major (F, C*KH*KW).
-Tensor Conv2dForwardFusedBf16(const Tensor& x, const uint16_t* w_bf16,
-                              int64_t f, int64_t c, int64_t kh, int64_t kw,
-                              const Tensor& bias, const ConvSpec& spec,
-                              EpilogueAct act, float leaky_slope);
 
 /// int8 weights as in Conv2dForwardInt8. The whole input batch is
 /// quantized once up front (elementwise quantization commutes with the

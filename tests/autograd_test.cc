@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/rng.h"
+#include "tensor/conv.h"
 #include "tensor/device.h"
 #include "tensor/ops.h"
 #include "tests/gradcheck.h"
@@ -348,6 +350,67 @@ TEST(DropoutTest, EvalIsIdentityTrainingScales) {
   Variable train_out = Dropout(x, 0.4f, /*training=*/true, rng);
   // Kept entries are scaled by 1/(1-p); mean stays ~1.
   EXPECT_NEAR(ts::MeanAll(train_out.value()), 1.0f, 0.1f);
+}
+
+TEST(AutogradEdgeTest, BackwardTwiceAccumulates) {
+  Variable a(ts::Tensor::Ones({2}), true);
+  Variable loss = SumAll(MulScalar(a, 2.0f));
+  loss.Backward();
+  EXPECT_TRUE(ts::AllClose(a.grad(), ts::Tensor::Full({2}, 2.0f)));
+  // ZeroGrad then reuse the leaf in a fresh graph.
+  a.ZeroGrad();
+  Variable loss2 = SumAll(MulScalar(a, 3.0f));
+  loss2.Backward();
+  EXPECT_TRUE(ts::AllClose(a.grad(), ts::Tensor::Full({2}, 3.0f)));
+}
+
+TEST(AutogradEdgeTest, DetachedBranchGetsNoGrad) {
+  Variable a(ts::Tensor::Ones({2}), true);
+  Variable b(ts::Tensor::Ones({2}), false);  // no grad wanted
+  Variable loss = SumAll(Mul(a, b));
+  loss.Backward();
+  EXPECT_TRUE(a.has_grad());
+  EXPECT_FALSE(b.has_grad());
+}
+
+TEST(LeakyReluTest, ValuesAndGradient) {
+  ts::Tensor a = ts::Tensor::FromVector({4}, {-2, -1, 0, 3});
+  ts::Tensor out = ts::LeakyRelu(a, 0.1f);
+  EXPECT_FLOAT_EQ(out.flat(0), -0.2f);
+  EXPECT_FLOAT_EQ(out.flat(3), 3.0f);
+
+  Rng rng(1);
+  ts::Tensor x = ts::Tensor::Randn({3, 4}, rng);
+  EXPECT_LT(GradCheck(
+                [](const auto& v) {
+                  return SumAll(
+                      Mul(LeakyRelu(v[0], 0.2f), LeakyRelu(v[0], 0.2f)));
+                },
+                {x}),
+            2e-2);
+}
+
+TEST(AvgPoolTest, ValuesAndAdjoint) {
+  ts::Tensor x = ts::Tensor::FromVector(
+      {1, 1, 2, 2}, {1, 2, 3, 4});
+  ts::Tensor out = ts::AvgPool2dForward(x, 2);
+  EXPECT_FLOAT_EQ(out.flat(0), 2.5f);
+
+  Rng rng(2);
+  ts::Tensor a = ts::Tensor::Randn({2, 3, 4, 4}, rng);
+  ts::Tensor b = ts::Tensor::Randn({2, 3, 2, 2}, rng);
+  const float lhs = ts::SumAll(ts::Mul(ts::AvgPool2dForward(a, 2), b));
+  const float rhs =
+      ts::SumAll(ts::Mul(a, ts::AvgPool2dBackward(b, a.shape(), 2)));
+  EXPECT_NEAR(lhs, rhs, 1e-4f);
+
+  EXPECT_LT(GradCheck(
+                [](const auto& v) {
+                  Variable y = AvgPool2d(v[0], 2);
+                  return SumAll(Mul(y, y));
+                },
+                {a}),
+            2e-2);
 }
 
 }  // namespace

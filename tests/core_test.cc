@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <vector>
 
 #include "core/env.h"
 #include "core/memory.h"
@@ -202,6 +203,47 @@ TEST(StopwatchTest, MeasuresElapsed) {
   for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GT(sw.ElapsedSeconds(), 0.0);
   EXPECT_GE(sw.ElapsedMillis(), sw.ElapsedSeconds() * 1000.0 * 0.99);
+}
+
+Status FailIfNegative(int x) {
+  if (x < 0) return Status::InvalidArgument("negative");
+  return Status::OK();
+}
+
+Status Chain(int x) {
+  GEO_RETURN_NOT_OK(FailIfNegative(x));
+  return Status::OK();
+}
+
+
+TEST(StatusMacroTest, ReturnNotOkPropagates) {
+  EXPECT_TRUE(Chain(1).ok());
+  EXPECT_FALSE(Chain(-1).ok());
+  EXPECT_EQ(Chain(-1).code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ScopedAllocationTest, ReleasesOnScopeExit) {
+  MemoryTracker tracker;
+  {
+    ScopedAllocation a(&tracker, 1000);
+    EXPECT_EQ(tracker.current_bytes(), 1000);
+    {
+      ScopedAllocation b(&tracker, 500);
+      EXPECT_EQ(tracker.current_bytes(), 1500);
+    }
+    EXPECT_EQ(tracker.current_bytes(), 1000);
+  }
+  EXPECT_EQ(tracker.current_bytes(), 0);
+  EXPECT_EQ(tracker.peak_bytes(), 1500);
+}
+
+TEST(ThreadPoolTest, ParallelForRangeCoversRange) {
+  ThreadPool pool(3);
+  std::vector<std::atomic<int>> hits(64);
+  pool.ParallelForRange(64, [&](int64_t begin, int64_t end) {
+    for (int64_t i = begin; i < end; ++i) hits[i] += 1;
+  });
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 }  // namespace

@@ -227,5 +227,40 @@ TEST(RunStatsTest, MeanAndDeviation) {
   EXPECT_EQ(stats.count(), 3);
 }
 
+TEST(PrefetchTest, PrefetchingLoaderMatchesPlainLoader) {
+  ts::Tensor xs = ts::Tensor::Arange(60).Reshape({20, 3});
+  TensorDataset dataset(xs, ts::Tensor::Arange(20));
+  DataLoader plain(&dataset, 7, /*shuffle=*/true, /*seed=*/5);
+  DataLoader pre(&dataset, 7, /*shuffle=*/true, /*seed=*/5,
+                 /*drop_last=*/false, /*prefetch=*/true);
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    plain.Reset();
+    pre.Reset();
+    Batch a;
+    Batch b;
+    while (true) {
+      const bool has_a = plain.Next(&a);
+      const bool has_b = pre.Next(&b);
+      ASSERT_EQ(has_a, has_b);
+      if (!has_a) break;
+      EXPECT_EQ(a.size, b.size);
+      EXPECT_TRUE(ts::AllClose(a.x, b.x));
+      EXPECT_TRUE(ts::AllClose(a.y, b.y));
+    }
+  }
+}
+
+TEST(PrefetchTest, ResetMidEpochIsSafe) {
+  ts::Tensor xs = ts::Tensor::Ones({10, 2});
+  TensorDataset dataset(xs, ts::Tensor::Arange(10));
+  DataLoader loader(&dataset, 3, false, 0, false, /*prefetch=*/true);
+  Batch batch;
+  ASSERT_TRUE(loader.Next(&batch));  // leaves a batch in flight
+  loader.Reset();
+  int64_t rows = 0;
+  while (loader.Next(&batch)) rows += batch.size;
+  EXPECT_EQ(rows, 10);
+}
+
 }  // namespace
 }  // namespace geotorch::data

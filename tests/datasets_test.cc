@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "datasets/benchmarks.h"
 #include "datasets/raster_dataset.h"
 #include "tensor/ops.h"
@@ -191,6 +193,40 @@ TEST(RasterDatasetTest, SlumDetectionBinary) {
     const float y = dataset.Get(i).y.flat(0);
     EXPECT_TRUE(y == 0.0f || y == 1.0f);
   }
+}
+
+TEST(NewDatasetsTest, ShapesMatchTableII) {
+  GridDataset taxi = MakeTaxiNycStdn(60);
+  EXPECT_EQ(taxi.height(), 10);
+  EXPECT_EQ(taxi.width(), 20);
+  EXPECT_EQ(taxi.channels(), 4);
+  EXPECT_EQ(taxi.steps_per_day(), 48);
+
+  GridDataset bike = MakeBikeNycStdn(60);
+  EXPECT_EQ(bike.height(), 10);
+  EXPECT_EQ(bike.channels(), 4);
+
+  RasterClassificationDataset sat4 = MakeSat4(8);
+  EXPECT_EQ(sat4.Get(0).x.shape(), (ts::Shape{4, 28, 28}));
+  float max_label = 0;
+  for (int64_t i = 0; i < sat4.Size(); ++i) {
+    max_label = std::max(max_label, sat4.Get(i).y.flat(0));
+  }
+  EXPECT_EQ(max_label, 3.0f);  // 4 classes
+}
+
+TEST(NewDatasetsTest, ExtraWeatherKinds) {
+  GridDataset geo = MakeGeopotential(48, 8, 16);
+  // Geopotential heights sit in the tens of thousands.
+  EXPECT_GT(ts::MeanAll(geo.st_data()), 5e4);
+
+  GridDataset solar = MakeSolarRadiation(48, 8, 16);
+  EXPECT_GE(ts::MinAll(solar.st_data()), 0.0f);  // no negative radiation
+  // Night frames are zero: hour 0 is night.
+  ts::Tensor midnight = ts::Slice(solar.st_data(), 0, 0, 1);
+  EXPECT_EQ(ts::MaxAll(midnight), 0.0f);
+  // Some daytime frame has sun.
+  EXPECT_GT(ts::MaxAll(solar.st_data()), 100.0f);
 }
 
 }  // namespace

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
+#include <variant>
 
+#include "core/memory.h"
 #include "core/rng.h"
 #include "df/csv.h"
 
@@ -355,6 +358,63 @@ TEST(CsvTest, RoundTrip) {
 TEST(CsvTest, MissingFile) {
   Schema schema({{"a", DataType::kInt64}});
   EXPECT_FALSE(ReadCsv("/no/such/file.csv", schema).ok());
+}
+
+TEST(RowViewTest, TypedAccessors) {
+  DataFrame frame = DataFrame::FromColumns(
+      {{"d", Column::FromDoubles({1.5})},
+       {"i", Column::FromInt64s({7})},
+       {"s", Column::FromStrings({"hi"})},
+       {"p", Column::FromPoints({{2.0, 3.0}})}});
+  RowView row(&frame.partition(0), &frame.schema(), 0);
+  EXPECT_EQ(row.GetDouble(0), 1.5);
+  EXPECT_EQ(row.GetInt64(1), 7);
+  EXPECT_EQ(row.GetString(2), "hi");
+  EXPECT_EQ(row.GetPoint(3).y, 3.0);
+  EXPECT_EQ(row.ColumnIndex("s"), 2);
+  EXPECT_EQ(std::get<int64_t>(row.Get(1)), 7);
+}
+
+TEST(DataFrameTest, ByteSizeTracksColumns) {
+  DataFrame frame = DataFrame::FromColumns(
+      {{"x", Column::FromInt64s(std::vector<int64_t>(1000, 1))}});
+  EXPECT_GE(frame.ByteSize(), 8000);
+  // Select shares the column: same bytes, no growth in the tracker.
+  const int64_t before = MemoryTracker::Global().current_bytes();
+  DataFrame view = frame.Select({"x"});
+  EXPECT_EQ(MemoryTracker::Global().current_bytes(), before);
+  EXPECT_EQ(view.ByteSize(), frame.ByteSize());
+}
+
+TEST(DataFrameExtTest, UnionConcatenatesRows) {
+  DataFrame a = DataFrame::FromColumns({{"k", Column::FromInt64s({1, 2})}});
+  DataFrame b = DataFrame::FromColumns({{"k", Column::FromInt64s({3})}});
+  DataFrame u = a.Union(b);
+  EXPECT_EQ(u.NumRows(), 3);
+  auto keys = u.CollectInt64("k");
+  std::sort(keys.begin(), keys.end());
+  EXPECT_EQ(keys, (std::vector<int64_t>{1, 2, 3}));
+}
+
+TEST(DataFrameExtTest, DistinctDropsDuplicates) {
+  DataFrame frame = DataFrame::FromColumns(
+      {{"a", Column::FromInt64s({1, 1, 2, 2, 2, 3})},
+       {"b", Column::FromInt64s({0, 0, 0, 1, 1, 0})}});
+  DataFrame d = frame.Distinct({"a", "b"});
+  EXPECT_EQ(d.NumRows(), 4);  // (1,0), (2,0), (2,1), (3,0)
+  EXPECT_EQ(d.schema().num_fields(), 2);
+}
+
+TEST(DataFrameExtTest, VarianceAndStdDev) {
+  DataFrame frame = DataFrame::FromColumns(
+      {{"k", Column::FromInt64s({0, 0, 0, 0})},
+       {"v", Column::FromDoubles({2, 4, 4, 6})}});
+  DataFrame agg = frame.GroupByAgg(
+      {"k"},
+      {{AggKind::kVariance, "v", "var"}, {AggKind::kStdDev, "v", "sd"}});
+  // mean 4, population variance 2.
+  EXPECT_NEAR(agg.CollectDouble("var")[0], 2.0, 1e-9);
+  EXPECT_NEAR(agg.CollectDouble("sd")[0], std::sqrt(2.0), 1e-9);
 }
 
 }  // namespace

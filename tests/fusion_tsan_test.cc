@@ -108,7 +108,7 @@ int main() {
         // Exercise the precision flip path on the offline copy too: it
         // bumps the state version and forces a folded-cache rebuild
         // with requantization on the next fused forward.
-        off->seq.SetPrecision(round % 2 == 0 ? nn::Precision::kBf16
+        off->seq.SetPrecision(round % 2 == 0 ? nn::Precision::kInt8
                                              : nn::Precision::kF32);
       }
       published.store(off);

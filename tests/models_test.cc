@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "data/dataloader.h"
 #include "data/dataset.h"
 #include "datasets/benchmarks.h"
 #include "datasets/grid_dataset.h"
@@ -238,6 +239,65 @@ TEST(ModelsTest, ParameterCountsArePositiveAndDistinct) {
   EXPECT_GT(resnet.NumParameters(), cnn.NumParameters());
   EXPECT_GT(deepstn.NumParameters(), 0);
   EXPECT_GT(convlstm.NumParameters(), 0);
+}
+
+TEST(DeepSatV1Test, TrainsOnFeatures) {
+  ds::RasterDatasetOptions options;
+  options.include_additional_features = true;
+  ds::RasterClassificationDataset dataset = ds::MakeSat6(24, options);
+  RasterModelConfig mc;
+  mc.in_channels = 4;
+  mc.in_height = 28;
+  mc.in_width = 28;
+  mc.num_classes = 6;
+  mc.num_filtered_features = dataset.num_additional_features();
+  mc.base_filters = 8;
+  DeepSat model(mc);
+  data::DataLoader loader(&dataset, 8, false);
+  data::Batch batch;
+  ASSERT_TRUE(loader.Next(&batch));
+  autograd::Variable logits = model.Forward(
+      autograd::Variable(batch.x), autograd::Variable(batch.extras[0]));
+  EXPECT_EQ(logits.shape(), (ts::Shape{8, 6}));
+  // One gradient step works.
+  autograd::Variable loss = autograd::CrossEntropyLoss(
+      logits, batch.y.Reshape({batch.y.numel()}));
+  loss.Backward();
+  for (auto& p : model.Parameters()) EXPECT_TRUE(p.has_grad());
+}
+
+TEST(CnnLstmTest, ForwardShapeAndLearning) {
+  ds::GridDataset dataset(
+      synth::GenerateGridFlow(260, 2, 9, 11, 24, 8), 24);
+  dataset.MinMaxNormalize();
+  dataset.SetSequentialRepresentation(4, 1);
+  data::DataLoader loader(&dataset, 6, false);
+  data::Batch batch;
+  ASSERT_TRUE(loader.Next(&batch));
+
+  GridModelConfig mc;
+  mc.channels = 2;
+  mc.height = 9;   // odd dims exercise the stride-2 shape math
+  mc.width = 11;
+  mc.hidden = 8;
+  CnnLstm model(mc);
+  autograd::Variable out = model.Forward(batch);
+  EXPECT_EQ(out.shape(), batch.y.shape());
+
+  // A few steps reduce the loss.
+  optim::Adam opt(model.Parameters(), 5e-3f);
+  float first = 0.0f;
+  float last = 0.0f;
+  for (int step = 0; step < 15; ++step) {
+    opt.ZeroGrad();
+    autograd::Variable loss =
+        autograd::MseLoss(model.Forward(batch), batch.y);
+    loss.Backward();
+    opt.Step();
+    if (step == 0) first = loss.value().flat(0);
+    last = loss.value().flat(0);
+  }
+  EXPECT_LT(last, first);
 }
 
 }  // namespace

@@ -332,5 +332,39 @@ TEST(SequentialTest, RunsLayersInOrder) {
   EXPECT_GE(ts::MinAll(y.value()), 0.0f);  // post-ReLU
 }
 
+TEST(NnModulesTest, FlattenAndUpsample) {
+  Flatten flatten;
+  ag::Variable x(ts::Tensor::Ones({3, 2, 4, 4}));
+  EXPECT_EQ(flatten.Forward(x).shape(), (ts::Shape{3, 32}));
+
+  Upsample2x up;
+  EXPECT_EQ(up.Forward(x).shape(), (ts::Shape{3, 2, 8, 8}));
+}
+
+TEST(LstmCellTest, StateEvolvesAndIsBounded) {
+  Rng rng(1);
+  LstmCell cell(6, 4, rng);
+  auto state = cell.InitialState(3);
+  EXPECT_EQ(state.h.shape(), (ts::Shape{3, 4}));
+  EXPECT_EQ(ts::SumAll(state.h.value()), 0.0f);
+  ag::Variable x(ts::Tensor::Randn({3, 6}, rng));
+  auto next = cell.Step(x, state);
+  EXPECT_NE(ts::SumAll(next.h.value()), 0.0f);
+  EXPECT_LE(ts::MaxAll(next.h.value()), 1.0f);
+  EXPECT_GE(ts::MinAll(next.h.value()), -1.0f);
+}
+
+TEST(LstmCellTest, BackpropThroughTime) {
+  Rng rng(2);
+  LstmCell cell(3, 2, rng);
+  ag::Variable x(ts::Tensor::Randn({2, 3}, rng), true);
+  auto state = cell.InitialState(2);
+  for (int t = 0; t < 4; ++t) state = cell.Step(x, state);
+  ag::Variable loss = ag::MeanAll(ag::Mul(state.h, state.h));
+  loss.Backward();
+  EXPECT_TRUE(x.has_grad());
+  for (auto& p : cell.Parameters()) EXPECT_TRUE(p.has_grad());
+}
+
 }  // namespace
 }  // namespace geotorch::nn

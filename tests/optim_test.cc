@@ -125,5 +125,33 @@ TEST(EarlyStoppingTest, ImprovementResetsCounter) {
   EXPECT_FALSE(stopper.should_stop());
 }
 
+TEST(RmsPropTest, ConvergesOnQuadratic) {
+  ag::Variable w(ts::Tensor::Zeros({3}), true);
+  ts::Tensor target = ts::Tensor::FromVector({3}, {1, -2, 0.5f});
+  RmsProp opt({w}, 0.05f);
+  for (int i = 0; i < 300; ++i) {
+    opt.ZeroGrad();
+    ag::Variable loss = ag::MseLoss(w, target);
+    loss.Backward();
+    opt.Step();
+  }
+  EXPECT_TRUE(ts::AllClose(w.value(), target, 1e-2f, 1e-2f));
+}
+
+TEST(CosineSchedulerTest, AnnealsToMinLr) {
+  ag::Variable w(ts::Tensor::Zeros({1}), true);
+  Sgd opt({w}, 1.0f);
+  CosineLrScheduler sched(&opt, /*total_epochs=*/10, /*min_lr=*/0.1f);
+  float prev = opt.lr();
+  for (int e = 0; e < 10; ++e) {
+    sched.Step();
+    EXPECT_LE(opt.lr(), prev + 1e-6f);  // monotone decay
+    prev = opt.lr();
+  }
+  EXPECT_NEAR(opt.lr(), 0.1f, 1e-5f);
+  sched.Step();  // past the horizon: stays at min
+  EXPECT_NEAR(opt.lr(), 0.1f, 1e-5f);
+}
+
 }  // namespace
 }  // namespace geotorch::optim

@@ -83,6 +83,8 @@ TEST_F(PoolTest, TrimReleasesCachedBlocks) {
   EXPECT_GT(before.cached_bytes, 0);
   const int64_t freed = StoragePool::Global().Trim();
   EXPECT_EQ(freed, before.cached_bytes);
+  const Status invariants = StoragePool::Global().CheckInvariants();
+  EXPECT_TRUE(invariants.ok()) << invariants.ToString();
   StoragePool::Stats after = StoragePool::Global().GetStats();
   EXPECT_EQ(after.cached_bytes, 0);
   EXPECT_EQ(after.cached_blocks, 0);
@@ -165,6 +167,10 @@ TEST_F(PoolTest, TrainStepHitRateAfterWarmup) {
   // the system allocator (no new blocks, no oversize bypasses).
   EXPECT_EQ(stats.misses, 0);
   EXPECT_EQ(stats.bypasses, 0);
+  // The warm steps cached blocks in many classes; the per-shard byte
+  // accounting must still match the free lists exactly.
+  const Status invariants = StoragePool::Global().CheckInvariants();
+  EXPECT_TRUE(invariants.ok()) << invariants.ToString();
 
   // The same numbers flow through obs counters for dashboards.
 #if !defined(GEOTORCH_OBS_DISABLED)

@@ -81,6 +81,10 @@ TEST(PoolTsanTest, ConcurrentAllocFreeTrimAndToggle) {
   stop.store(true, std::memory_order_relaxed);
   churn.join();
   EXPECT_GT(done.load(), 0);
+  // Every shard's byte count must match its free lists after the
+  // concurrent phase, before anything is drained.
+  const Status invariants = pool.CheckInvariants();
+  EXPECT_TRUE(invariants.ok()) << invariants.ToString();
 
   // Drain any still-parked blocks and verify internal consistency.
   {

@@ -538,5 +538,18 @@ TEST(StreamBatchEquivalenceTest, SlidingTaxiStreamMatchesBatchAtEverySlide) {
   EXPECT_EQ(agg.late_events(), 0);
 }
 
+TEST(DfToTorchTest, NoLabelColumnYieldsZeros) {
+  df::DataFrame frame = df::DataFrame::FromColumns(
+      {{"a", df::Column::FromDoubles({1, 2, 3})}});
+  DfToTorch::Options options;
+  options.feature_columns = {"a"};
+  DfToTorch converter(frame, options);
+  ts::Tensor x;
+  ts::Tensor y;
+  ASSERT_TRUE(converter.NextBatch(&x, &y));
+  EXPECT_EQ(ts::SumAll(y), 0.0f);
+  EXPECT_EQ(y.numel(), 3);
+}
+
 }  // namespace
 }  // namespace geotorch::prep

@@ -262,5 +262,64 @@ TEST(GlcmTest, FeatureVectorHasSixEntries) {
   for (float f : features) EXPECT_TRUE(std::isfinite(f));
 }
 
+TEST(GeoreferenceTest, PixelWorldRoundTrip) {
+  RasterImage img(10, 20, 1);
+  img.set_geotransform({-74.0, 0.01, 0.0, 40.9, 0.0, -0.02});
+  auto [x, y] = PixelToWorld(img, 0, 0);
+  EXPECT_NEAR(x, -74.0 + 0.005, 1e-9);
+  EXPECT_NEAR(y, 40.9 - 0.01, 1e-9);
+  auto [i, j] = WorldToPixel(img, x, y);
+  EXPECT_EQ(i, 0);
+  EXPECT_EQ(j, 0);
+  // Far corner.
+  auto [x2, y2] = PixelToWorld(img, 9, 19);
+  auto [i2, j2] = WorldToPixel(img, x2, y2);
+  EXPECT_EQ(i2, 9);
+  EXPECT_EQ(j2, 19);
+  // Outside.
+  auto [i3, j3] = WorldToPixel(img, -80.0, 40.9);
+  EXPECT_EQ(i3, -1);
+  EXPECT_EQ(j3, -1);
+}
+
+TEST(ClipTest, WindowAndGeotransform) {
+  RasterImage img(8, 8, 2);
+  for (int64_t i = 0; i < 8; ++i) {
+    for (int64_t j = 0; j < 8; ++j) {
+      img.at(0, i, j) = static_cast<float>(i * 8 + j);
+    }
+  }
+  img.set_geotransform({100.0, 1.0, 0.0, 50.0, 0.0, -1.0});
+  RasterImage clipped = ClipRaster(img, 2, 3, 4, 5);
+  EXPECT_EQ(clipped.height(), 4);
+  EXPECT_EQ(clipped.width(), 5);
+  EXPECT_EQ(clipped.at(0, 0, 0), img.at(0, 2, 3));
+  EXPECT_EQ(clipped.at(0, 3, 4), img.at(0, 5, 7));
+  // The clipped origin is the same world point as pixel (2,3).
+  auto [wx, wy] = PixelToWorld(clipped, 0, 0);
+  auto [ox, oy] = PixelToWorld(img, 2, 3);
+  EXPECT_NEAR(wx, ox, 1e-9);
+  EXPECT_NEAR(wy, oy, 1e-9);
+}
+
+TEST(ResampleTest, NearestPreservesValuesAndExtent) {
+  RasterImage img(4, 4, 1);
+  for (int64_t i = 0; i < 4; ++i) {
+    for (int64_t j = 0; j < 4; ++j) {
+      img.at(0, i, j) = static_cast<float>(i * 4 + j);
+    }
+  }
+  RasterImage up = ResampleNearest(img, 8, 8);
+  EXPECT_EQ(up.at(0, 0, 0), img.at(0, 0, 0));
+  EXPECT_EQ(up.at(0, 7, 7), img.at(0, 3, 3));
+  EXPECT_EQ(up.at(0, 2, 2), img.at(0, 1, 1));
+  // Pixel size halves; total extent unchanged.
+  EXPECT_NEAR(up.geotransform()[1], img.geotransform()[1] / 2.0, 1e-12);
+
+  RasterImage down = ResampleNearest(img, 2, 2);
+  EXPECT_EQ(down.at(0, 0, 0), img.at(0, 0, 0));
+  EXPECT_EQ(down.at(0, 1, 1), img.at(0, 2, 2));
+}
+
 }  // namespace
 }  // namespace geotorch::raster

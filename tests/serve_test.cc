@@ -95,8 +95,8 @@ TEST(EngineOptionsTest, FromEnvParsesPrecision) {
   EnvVarGuard guard({"GEOTORCH_SERVE_PRECISION"});
   unsetenv("GEOTORCH_SERVE_PRECISION");
   EXPECT_EQ(serve::EngineOptions::FromEnv().precision, nn::Precision::kF32);
-  setenv("GEOTORCH_SERVE_PRECISION", "bf16", 1);
-  EXPECT_EQ(serve::EngineOptions::FromEnv().precision, nn::Precision::kBf16);
+  setenv("GEOTORCH_SERVE_PRECISION", "bf16", 1);  // no bf16 path -> default
+  EXPECT_EQ(serve::EngineOptions::FromEnv().precision, nn::Precision::kF32);
   setenv("GEOTORCH_SERVE_PRECISION", "int8", 1);
   EXPECT_EQ(serve::EngineOptions::FromEnv().precision, nn::Precision::kInt8);
   setenv("GEOTORCH_SERVE_PRECISION", "float32", 1);

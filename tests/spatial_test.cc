@@ -309,5 +309,60 @@ TEST(ConfigTest, ParallelKillSwitchForcesSerialExecution) {
   EXPECT_EQ(with_parallel, with_kill_switch);
 }
 
+TEST(StrTreeKnnTest, NearestMatchesBruteForce) {
+  Rng rng(5);
+  std::vector<Point> points;
+  std::vector<StrTree::Entry> entries;
+  for (int64_t i = 0; i < 200; ++i) {
+    Point p{rng.Uniform(0, 100), rng.Uniform(0, 100)};
+    points.push_back(p);
+    entries.push_back({Envelope(p.x, p.y, p.x, p.y), i});
+  }
+  StrTree tree(entries);
+  for (int q = 0; q < 10; ++q) {
+    Point probe{rng.Uniform(0, 100), rng.Uniform(0, 100)};
+    auto got = tree.Nearest(probe, 5);
+    ASSERT_EQ(got.size(), 5u);
+    // Brute-force nearest.
+    std::vector<int64_t> ids(points.size());
+    for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<int64_t>(i);
+    std::sort(ids.begin(), ids.end(), [&](int64_t a, int64_t b) {
+      return EuclideanDistance(points[a], probe) <
+             EuclideanDistance(points[b], probe);
+    });
+    for (int k = 0; k < 5; ++k) EXPECT_EQ(got[k], ids[k]);
+  }
+}
+
+TEST(StrTreeKnnTest, SmallTreeReturnsAll) {
+  StrTree tree({{Envelope(0, 0, 1, 1), 42}});
+  auto got = tree.Nearest({5, 5}, 3);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0], 42);
+}
+
+TEST(DistanceJoinTest, MatchesBruteForce) {
+  Rng rng(6);
+  std::vector<Point> left;
+  std::vector<Point> right;
+  for (int i = 0; i < 80; ++i) {
+    left.push_back({rng.Uniform(0, 10), rng.Uniform(0, 10)});
+    right.push_back({rng.Uniform(0, 10), rng.Uniform(0, 10)});
+  }
+  const double radius = 1.5;
+  auto pairs = DistanceJoin(left, right, radius);
+  int64_t brute = 0;
+  for (const auto& a : left) {
+    for (const auto& b : right) {
+      if (EuclideanDistance(a, b) <= radius) ++brute;
+    }
+  }
+  EXPECT_EQ(static_cast<int64_t>(pairs.size()), brute);
+  for (const auto& p : pairs) {
+    EXPECT_LE(EuclideanDistance(left[p.left_idx], right[p.right_idx]),
+              radius + 1e-12);
+  }
+}
+
 }  // namespace
 }  // namespace geotorch::spatial

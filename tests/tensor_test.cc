@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/rng.h"
+#include "tensor/conv.h"
 #include "tensor/device.h"
 #include "tensor/ops.h"
 #include "tensor/serialize.h"
@@ -339,6 +341,58 @@ TEST(SerializeTest, MissingFileIsIoError) {
   auto r = LoadTensor("/nonexistent/nope.gten");
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+}
+
+TEST(ConvShapeTest, ConvOutSizeFormula) {
+  EXPECT_EQ(ConvOutSize(32, 3, 1, 1), 32);
+  EXPECT_EQ(ConvOutSize(32, 3, 2, 1), 16);
+  EXPECT_EQ(ConvOutSize(28, 5, 1, 0), 24);
+  EXPECT_EQ(ConvOutSize(7, 7, 1, 0), 1);
+}
+
+TEST(ConvTransposeShapeTest, InvertsStridedConv) {
+  // convT output dims: (in-1)*s - 2p + k.
+  Rng rng(1);
+  Tensor x = Tensor::Randn({1, 2, 5, 5}, rng);
+  Tensor w = Tensor::Randn({2, 3, 4, 4}, rng);
+  ConvSpec spec{.stride = 2, .padding = 1};
+  Tensor y = ConvTranspose2dForward(x, w, Tensor(), spec);
+  EXPECT_EQ(y.shape(), (Shape{1, 3, 10, 10}));
+}
+
+TEST(TensorEdgeTest, ScalarAndEmpty) {
+  Tensor s = Tensor::Scalar(3.0f);
+  EXPECT_EQ(s.numel(), 1);
+  EXPECT_EQ(s.flat(0), 3.0f);
+
+  Tensor empty;
+  EXPECT_TRUE(empty.empty());
+  EXPECT_EQ(empty.numel(), 0);
+}
+
+TEST(TensorEdgeTest, ToStringTruncates) {
+  Tensor t = Tensor::Arange(100);
+  const std::string s = t.ToString(4);
+  EXPECT_NE(s.find("..."), std::string::npos);
+  EXPECT_NE(s.find("(100)"), std::string::npos);
+}
+
+TEST(OpsEdgeTest, MapAppliesFunction) {
+  Tensor t = Tensor::Arange(4);
+  Tensor doubled = Map(t, [](float v) { return v * 2; });
+  EXPECT_EQ(doubled.flat(3), 6.0f);
+}
+
+TEST(OpsEdgeTest, ConcatSingleTensor) {
+  Tensor t = Tensor::Arange(4).Reshape({2, 2});
+  EXPECT_TRUE(AllClose(Concat({t}, 0), t));
+}
+
+TEST(OpsEdgeTest, SliceFullRangeIsIdentity) {
+  Tensor t = Tensor::Arange(6).Reshape({2, 3});
+  EXPECT_TRUE(AllClose(Slice(t, 1, 0, 3), t));
+  Tensor empty_slice = Slice(t, 0, 1, 1);
+  EXPECT_EQ(empty_slice.numel(), 0);
 }
 
 }  // namespace

@@ -80,5 +80,18 @@ TEST(TransformsTest, GaussianNoisePerturbsDeterministically) {
   EXPECT_NEAR(ts::MeanAll(a), 0.0f, 0.05f);
 }
 
+TEST(GlcmTransformTest, AppendsChannels) {
+  Rng rng(7);
+  ts::Tensor img = ts::Tensor::Rand({3, 16, 16}, rng);
+  ts::Tensor with_contrast = AppendGlcmContrastChannel(0)(img);
+  EXPECT_EQ(with_contrast.size(0), 4);
+  // Constant channel.
+  ts::Tensor chan = ts::Slice(with_contrast, 0, 3, 4);
+  EXPECT_EQ(ts::MinAll(chan), ts::MaxAll(chan));
+
+  ts::Tensor with_features = AppendGlcmFeatureChannels(1, 32)(img);
+  EXPECT_EQ(with_features.size(0), 9);  // 3 + 6 features
+}
+
 }  // namespace
 }  // namespace geotorch::transforms
